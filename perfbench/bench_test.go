@@ -149,29 +149,11 @@ func TestTailPicksHighestSupportedPercentile(t *testing.T) {
 	}
 }
 
-func TestQuietSecondsKeepsTiesAndDropsStolen(t *testing.T) {
-	got := quietSeconds([]float64{0.01, 0, 0.2, 0, 0.05})
-	want := []bool{true, true, false, true, false}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("quietSeconds = %v, want %v", got, want)
-		}
-	}
-	for i, ok := range quietSeconds(make([]float64, 4)) {
-		if !ok {
-			t.Errorf("second %d dropped from a window without steal", i)
-		}
-	}
-}
-
-func TestEndToEndUsesQuietSeconds(t *testing.T) {
-	p := &phase{o: &outcome{
-		lat:       []float64{1, 2, 100, 3},
-		sec:       []int{0, 1, 2, 3},
-		perSecond: []float64{10, 10, 1, 10},
-		steal:     []float64{0, 0, 0.3, 0},
-		items:     31,
-		elapsed:   4e9,
+func TestEndToEndOverWholeWindow(t *testing.T) {
+	p := &phase{setups: []float64{0.3, 0.1, 0.2}, o: &outcome{
+		lat:     []float64{1, 2, 100, 3},
+		items:   31,
+		elapsed: 4e9,
 	}}
 	r := &result{}
 	r.endToEnd(p)
@@ -179,8 +161,8 @@ func TestEndToEndUsesQuietSeconds(t *testing.T) {
 	for _, m := range r.metrics {
 		got[m.name] = m.value
 	}
-	if got["p99_ms"] != 3 || got["p50_ms"] != 2 || got["items_per_s"] != 10 {
-		t.Errorf("metrics over quiet seconds = %v, want p50 2, p99 3, items/s 10", got)
+	if got["p99_ms"] != 100 || got["p50_ms"] != 2 || got["items_per_s"] != 7.75 || got["setup_s"] != 0.2 {
+		t.Errorf("metrics = %v, want setup 0.2, p50 2, p99 100, items/s 7.75", got)
 	}
 }
 

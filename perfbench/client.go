@@ -74,12 +74,10 @@ func (c *client) post(path string, body []byte, want int, name string, req uint6
 // outcome is what one timed window measured from the client side.
 type outcome struct {
 	lat       []float64 // latency of each successful request, ms
-	sec       []int     // the window second each of them completed in
 	attempted int64
 	failed    int64
 	items     int64
-	perSecond []float64 // items completed in each whole second of the window
-	steal     []float64 // host CPU steal share of each whole second
+	steal     float64 // host CPU steal share over the window
 	elapsed   time.Duration
 	errs      []string // first few failure messages
 }
@@ -92,13 +90,13 @@ func (o *outcome) fail(msg string) {
 }
 
 // drive runs the closed loop for d: every client takes the next request
-// of the shared sequence, sends it with send, and records its latency
-// and completion second; a sampler records each second's host CPU
-// steal. Requests already sent when d ends complete and count.
+// of the shared sequence, sends it with send, and records its latency.
+// Requests already sent when d ends complete and count. The host's CPU
+// steal over the window is recorded beside the figures, so windows the
+// hypervisor took the CPUs away from can be recognised.
 func drive(d time.Duration, cs []*client, next func() request, send func(*client, request) error) *outcome {
 	var mu sync.Mutex
-	secs := int(d / time.Second)
-	o := &outcome{perSecond: make([]float64, secs)}
+	o := &outcome{}
 	idx := 0
 	take := func() request {
 		mu.Lock()
@@ -109,21 +107,9 @@ func drive(d time.Duration, cs []*client, next func() request, send func(*client
 		o.attempted++
 		return r
 	}
+	steal0, total0 := cpuSteal()
 	start := time.Now()
 	deadline := start.Add(d)
-	sampled := make(chan struct{})
-	go func() {
-		defer close(sampled)
-		tick := time.NewTicker(time.Second)
-		defer tick.Stop()
-		prevSteal, prevTotal := cpuSteal()
-		for k := 0; k < secs; k++ {
-			<-tick.C
-			steal, total := cpuSteal()
-			o.steal = append(o.steal, ratio(steal-prevSteal, total-prevTotal))
-			prevSteal, prevTotal = steal, total
-		}
-	}()
 	var wg sync.WaitGroup
 	for _, c := range cs {
 		c := c
@@ -134,19 +120,13 @@ func drive(d time.Duration, cs []*client, next func() request, send func(*client
 				r := take()
 				t0 := time.Now()
 				err := send(c, r)
-				now := time.Now()
-				lat := float64(now.Sub(t0)) / 1e6
+				lat := float64(time.Since(t0)) / 1e6
 				mu.Lock()
 				if err != nil {
 					o.fail(fmt.Sprintf("request %d: %v", r.idx, err))
 				} else {
-					sec := int(now.Sub(start) / time.Second)
 					o.lat = append(o.lat, lat)
-					o.sec = append(o.sec, sec)
 					o.items += int64(r.items)
-					if sec < secs {
-						o.perSecond[sec] += float64(r.items)
-					}
 				}
 				mu.Unlock()
 			}
@@ -154,6 +134,7 @@ func drive(d time.Duration, cs []*client, next func() request, send func(*client
 	}
 	wg.Wait()
 	o.elapsed = time.Since(start)
-	<-sampled
+	steal1, total1 := cpuSteal()
+	o.steal = ratio(steal1-steal0, total1-total0)
 	return o
 }

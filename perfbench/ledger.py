@@ -3,14 +3,14 @@
 
 Run from the checkout root:
 
-    python3 perfbench/ledger.py --seeds 1-10 --seconds 30 [--trace-seed 1] > ledger.json
+    python3 perfbench/ledger.py --seeds 1-10 [--seconds N] [--trace-seed 1] > ledger.json
 
 For every workload and end-to-end metric it reports the ten values, their
 median, quartiles (statistics.quantiles(values, n=4)) and the spread
 (q3 - q1) / median that the bounds in BENCHMARK.json are checked against.
 With --trace-seed it also records one traced run's per-layer metrics.
-Each run's host CPU steal share is recorded beside the metrics: on a
-shared host, windows with heavy steal are the main source of spread.
+Each run's host CPU steal share is recorded beside the metrics, so runs
+the hypervisor took the CPUs away from can be recognised and re-run.
 """
 import argparse
 import json

@@ -78,6 +78,7 @@ type phase struct {
 	bad       []string // failed self-checks
 	spans     []span
 	queuedMax int
+	workers   int // the services' campaign pool width
 }
 
 // runPhase builds the system at least n times and for at least budget
@@ -87,7 +88,7 @@ func runPhase(b bench, t *tracer, n int, budget, window time.Duration) (*phase, 
 	p := &phase{}
 	var sys *system
 	first := time.Now()
-	for k := 0; k < n || (k < maxSetups && time.Since(first) < budget); k++ {
+	for k := 0; k < n || time.Since(first) < budget; k++ {
 		if sys != nil {
 			sys.close()
 		}
@@ -101,6 +102,7 @@ func runPhase(b bench, t *tracer, n int, budget, window time.Duration) (*phase, 
 		p.setups = append(p.setups, time.Since(t0).Seconds())
 	}
 	defer sys.close()
+	p.workers = sys.svcs[0].Workers()
 	cs := make([]*client, clients)
 	for i := range cs {
 		cs[i] = newClient(sys.url, t)
@@ -120,7 +122,7 @@ func runPhase(b bench, t *tracer, n int, budget, window time.Duration) (*phase, 
 	}
 	p.d = readCounters(sys).minus(before)
 	p.spans = t.snapshot()
-	p.bad = b.settle(sys, p.o, p.d)
+	p.bad = b.settle(p.o, p.d)
 	return p, nil
 }
 
@@ -202,43 +204,23 @@ func runPlain(b bench, o options) (*result, error) {
 	return r, nil
 }
 
-// endToEnd adds the end-to-end metrics of an untraced window. Latency
-// and throughput are taken over the window's quieter seconds by host
-// CPU steal (see quietSeconds); the whole-window figures are printed
-// beside them.
+// endToEnd adds the end-to-end metrics of an untraced window.
 func (r *result) endToEnd(p *phase) {
-	keep := quietSeconds(p.o.steal)
-	var lat []float64
-	for i, l := range p.o.lat {
-		if s := p.o.sec[i]; s < len(keep) && keep[s] {
-			lat = append(lat, l)
-		}
-	}
-	var items, kept float64
-	for s, ok := range keep {
-		if ok {
-			items += p.o.perSecond[s]
-			kept++
-		}
-	}
-	lat = sortedCopy(lat)
-	all := sortedCopy(p.o.lat)
-	window := fmt.Sprintf("%g of %d one-second intervals, host steal ≤ %.2f%%", kept, len(keep), 100*median(p.o.steal))
+	lat := sortedCopy(p.o.lat)
 	r.add("setup_s", median(p.setups), "s", fmt.Sprintf("median of %d set-ups", len(p.setups)))
-	r.add("p50_ms", percentile(lat, 50), "ms",
-		fmt.Sprintf("n=%d over %s; whole window %.6g (n=%d)", len(lat), window, percentile(all, 50), len(all)))
-	tailNote := fmt.Sprintf("n=%d; whole window %.6g", len(lat), percentile(all, 99))
+	r.add("p50_ms", percentile(lat, 50), "ms", fmt.Sprintf("n=%d", len(lat)))
+	tailNote := fmt.Sprintf("n=%d", len(lat))
 	if tp, _, beyond, ok := tail(lat); ok {
 		tailNote += fmt.Sprintf("; highest percentile with ≥%d samples beyond it: p%g (%d beyond)", minBeyond, tp, beyond)
 	}
 	r.add("p99_ms", percentile(lat, 99), "ms", tailNote)
-	r.add("items_per_s", ratio(items, kept), "1/s",
-		fmt.Sprintf("whole window %.6g (items=%d in %.3f s)", float64(p.o.items)/p.o.elapsed.Seconds(), p.o.items, p.o.elapsed.Seconds()))
+	r.add("items_per_s", ratio(float64(p.o.items), p.o.elapsed.Seconds()), "1/s",
+		fmt.Sprintf("items=%d in %.3f s", p.o.items, p.o.elapsed.Seconds()))
 	fmt.Printf("  %-34s %16s %-6s failed=%d of attempted=%d (transport errors, non-2xx and byte mismatches)\n",
 		"failed_share", strconv.FormatFloat(ratio(float64(p.o.failed), float64(p.o.attempted)), 'g', 6, 64), "ratio",
 		p.o.failed, p.o.attempted)
 	r.add("rss_peak_mb", rssPeakMiB(), "MiB", "VmHWM of the benchmark process")
-	fmt.Printf("  host CPU steal during the window: %.2f%% (time the hypervisor gave this machine's CPUs to others)\n", 100*mean(p.o.steal))
+	fmt.Printf("  host CPU steal during the window: %.2f%% (time the hypervisor gave this machine's CPUs to others)\n", 100*p.o.steal)
 }
 
 // runTraced is the per-layer run: an untraced window for the overhead
@@ -273,7 +255,7 @@ func runTraced(b bench, o options) (*result, error) {
 				handler[s.Req] = float64(s.dur()) / 1e3
 			}
 		}
-		if rp.kt, err = replayKernels(cb.sent, handler); err != nil {
+		if rp.kt, err = replayKernels(cb.sent, handler, traced.workers); err != nil {
 			return nil, err
 		}
 	}

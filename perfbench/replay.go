@@ -5,7 +5,9 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"ctrlsched/internal/assign"
@@ -19,7 +21,7 @@ import (
 
 // kernelReplayBatches is how many of the traced window's first
 // cold-analyze batches are replayed through the kernels.
-const kernelReplayBatches = 48
+const kernelReplayBatches = 192
 
 // codesignReplays is how many of the traced window's first new searches
 // are replayed cold.
@@ -36,9 +38,13 @@ type kernelTimes struct {
 // replayKernels re-runs every item of the given batches through the
 // kernels a replica runs for it — lqg.Synthesize and jitter.Analyze per
 // (plant, period), then assign.BacktrackingOpts and rta.AnalyzeAll per
-// task set — with the kernel memo off. handlerUS maps a request ID to
-// its service.analyze_batch handler span.
-func replayKernels(batches []request, handlerUS map[uint64]float64) (kernelTimes, error) {
+// task set — with the kernel memo off. The replay has the shape of the
+// traced window, so that its wall time and the handler's measure the
+// same kind of time on any host: the batches go out from as many
+// goroutines as the window had clients, and each batch's items run on
+// workers goroutines, as the replica's campaign pool ran them.
+// handlerUS maps a request ID to its service.analyze_batch handler span.
+func replayKernels(batches []request, handlerUS map[uint64]float64, workers int) (kernelTimes, error) {
 	var kt kernelTimes
 	byName := make(map[string]*plant.Plant)
 	for _, p := range plants {
@@ -47,64 +53,112 @@ func replayKernels(batches []request, handlerUS map[uint64]float64) (kernelTimes
 	kmemo.Disable()
 	defer kmemo.Configure(kmemo.DefaultEntries, kmemo.DefaultBytes)
 
+	var mu sync.Mutex // guards kt and the totals
+	record := func(into *[]float64, d time.Duration) {
+		mu.Lock()
+		*into = append(*into, float64(d)/1e3)
+		mu.Unlock()
+	}
 	// margin synthesizes and analyzes one (plant, period), timing both.
 	margin := func(name string, h float64) (*jitter.Margin, error) {
 		t0 := time.Now()
 		d, err := lqg.Synthesize(byName[name], h)
 		t1 := time.Now()
-		kt.synth = append(kt.synth, float64(t1.Sub(t0))/1e3)
+		record(&kt.synth, t1.Sub(t0))
 		if err != nil {
 			return nil, err
 		}
 		m, err := jitter.Analyze(d, jitter.Options{})
-		kt.margin = append(kt.margin, float64(time.Since(t1))/1e3)
+		record(&kt.margin, time.Since(t1))
 		return m, err
 	}
-	var replayUS, handlerTotal float64
-	for _, r := range batches {
-		hus, ok := handlerUS[uint64(r.idx+1)]
-		if r.body == nil || !ok {
-			continue
+	item := func(part []byte) error {
+		var q struct {
+			Plant  string
+			Period float64
+			Tasks  []struct {
+				Plant              string
+				BCET, WCET, Period float64
+			}
 		}
-		start := time.Now()
-		for _, part := range r.parts {
-			var q struct {
-				Plant  string
-				Period float64
-				Tasks  []struct {
-					Plant              string
-					BCET, WCET, Period float64
-				}
-			}
-			if err := json.Unmarshal(part, &q); err != nil {
-				return kt, err
-			}
-			if q.Plant != "" {
-				if _, err := margin(q.Plant, q.Period); err != nil {
-					return kt, fmt.Errorf("replay %s: %w", part, err)
-				}
-				continue
-			}
-			tasks := make([]rta.Task, len(q.Tasks))
-			for i, ts := range q.Tasks {
-				m, err := margin(ts.Plant, ts.Period)
-				if err != nil {
-					return kt, fmt.Errorf("replay %s: %w", part, err)
-				}
-				tasks[i] = rta.Task{Name: fmt.Sprintf("task%d", i+1), BCET: ts.BCET, WCET: ts.WCET, Period: ts.Period, ConA: m.A, ConB: m.B}
-			}
-			t0 := time.Now()
-			res := assign.BacktrackingOpts(tasks, assign.Options{Memoize: true, MaxEvaluations: 2_000_000})
-			if res.Priorities != nil {
-				rta.AnalyzeAll(tasks, res.Priorities)
-			}
-			kt.assign = append(kt.assign, float64(time.Since(t0))/1e3)
+		if err := json.Unmarshal(part, &q); err != nil {
+			return err
 		}
-		replayUS += float64(time.Since(start)) / 1e3
-		handlerTotal += hus
+		if q.Plant != "" {
+			if _, err := margin(q.Plant, q.Period); err != nil {
+				return fmt.Errorf("replay %s: %w", part, err)
+			}
+			return nil
+		}
+		tasks := make([]rta.Task, len(q.Tasks))
+		for i, ts := range q.Tasks {
+			m, err := margin(ts.Plant, ts.Period)
+			if err != nil {
+				return fmt.Errorf("replay %s: %w", part, err)
+			}
+			tasks[i] = rta.Task{Name: fmt.Sprintf("task%d", i+1), BCET: ts.BCET, WCET: ts.WCET, Period: ts.Period, ConA: m.A, ConB: m.B}
+		}
+		t0 := time.Now()
+		res := assign.BacktrackingOpts(tasks, assign.Options{Memoize: true, MaxEvaluations: 2_000_000})
+		if res.Priorities != nil {
+			rta.AnalyzeAll(tasks, res.Priorities)
+		}
+		record(&kt.assign, time.Since(t0))
+		return nil
 	}
+	// batch replays one batch's items on workers goroutines and returns
+	// its wall time.
+	batch := func(r request) (time.Duration, error) {
+		start := time.Now()
+		errs := make([]error, len(r.parts))
+		next := make(chan int, len(r.parts))
+		for j := range r.parts {
+			next <- j
+		}
+		close(next)
+		var wg sync.WaitGroup
+		for w := 0; w < min(workers, len(r.parts)); w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for j := range next {
+					errs[j] = item(r.parts[j])
+				}
+			}()
+		}
+		wg.Wait()
+		return time.Since(start), errors.Join(errs...)
+	}
+
+	var replayUS, handlerTotal float64
+	var firstErr error
+	work := make(chan request)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range work {
+				d, err := batch(r)
+				mu.Lock()
+				if err != nil && firstErr == nil {
+					firstErr = err
+				}
+				replayUS += float64(d) / 1e3
+				handlerTotal += handlerUS[uint64(r.idx+1)]
+				mu.Unlock()
+			}
+		}()
+	}
+	for _, r := range batches {
+		if _, ok := handlerUS[uint64(r.idx+1)]; r.body != nil && ok {
+			work <- r
+		}
+	}
+	close(work)
+	wg.Wait()
 	kt.share = ratio(replayUS, handlerTotal)
-	return kt, nil
+	return kt, firstErr
 }
 
 // replayCodesign runs each search through Service.Codesign on a fresh

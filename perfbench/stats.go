@@ -52,22 +52,6 @@ func tail(sorted []float64) (p, value float64, beyond int, ok bool) {
 	return p, value, beyond, ok
 }
 
-// quietSeconds marks the one-second intervals of a window that the
-// window metrics are computed over: those whose host CPU steal share is
-// at most the window's median. On a shared host the hypervisor takes
-// the CPUs away in bursts of seconds, and latency and throughput in
-// those seconds measure the neighbours, not the program; the intervals
-// are chosen by steal alone, never by what the program did in them.
-// Ties are kept, so a window without steal keeps every interval.
-func quietSeconds(steal []float64) []bool {
-	med := median(steal)
-	keep := make([]bool, len(steal))
-	for i, x := range steal {
-		keep[i] = x <= med
-	}
-	return keep
-}
-
 // sortedCopy returns v sorted ascending, leaving v untouched.
 func sortedCopy(v []float64) []float64 {
 	s := append([]float64(nil), v...)

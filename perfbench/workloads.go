@@ -32,17 +32,17 @@ type bench interface {
 	// settle runs the window's deferred output checks, counting each
 	// mismatch as a failed request, and its self-checks, returning one
 	// message per failed self-check.
-	settle(sys *system, o *outcome, d counters) []string
+	settle(o *outcome, d counters) []string
 }
 
 // An end-to-end run builds its system at least minSetups times and
-// until setupBudget has passed (at most maxSetups times); setup_s is the
-// median, which keeps it steady against one-off process warm-up costs
-// and scheduling noise in set-ups that take well under a millisecond.
+// until setupBudget has passed; setup_s is the median. Direct set-ups
+// take well under a millisecond and get faster over a process's first
+// few dozen, so the budget buys a median of thousands, past that
+// warm-up; fleet set-ups (with their warm-up pass) get a few dozen.
 const (
 	minSetups   = 9
-	maxSetups   = 51
-	setupBudget = 500 * time.Millisecond
+	setupBudget = 2 * time.Second
 )
 
 func newBench(name string, seed int64) (bench, error) {
@@ -146,7 +146,7 @@ func (b *coldBench) send(c *client, r request) error {
 // really ran cold: no result-cache hit, and no kernel-memo hit beyond
 // the one synthesis each plant query shares with its own margin
 // analysis.
-func (b *coldBench) settle(_ *system, o *outcome, d counters) []string {
+func (b *coldBench) settle(o *outcome, d counters) []string {
 	kmemo.Default().Reset()
 	ref := service.New(service.Config{})
 	for _, s := range b.samples {
@@ -253,16 +253,14 @@ func (b *codesignBench) record(ref int, sum [32]byte) error {
 	return nil
 }
 
-// codesignRecomputeEvery sets the share of distinct searches that are
-// also recomputed on a separate service.
-const codesignRecomputeEvery = 16
-
-// settle checks every job's bytes against the synchronous /v1/codesign
-// answer for its search on the same service (the sync/job contract),
-// recomputes a seeded sample of searches on a separate service, then
-// checks that the window exercised both the store read path and the
-// journal write path.
-func (b *codesignBench) settle(sys *system, o *outcome, d counters) []string {
+// settle checks every distinct search's job bytes against the
+// synchronous /v1/codesign answer for the same request (the sync/job
+// contract), computed by a separate service with an emptied kernel
+// memo, so no answer is checked against a copy of itself. It then checks
+// that the window exercised both the store read path and the journal
+// write path.
+func (b *codesignBench) settle(o *outcome, d counters) []string {
+	kmemo.Default().Reset()
 	ref, err := buildDirect(nil, false)
 	if err == nil {
 		ref, err = ready(ref)
@@ -271,58 +269,37 @@ func (b *codesignBench) settle(sys *system, o *outcome, d counters) []string {
 		return []string{"reference service: " + err.Error()}
 	}
 	defer ref.close()
-	rng := rand.New(rand.NewSource(b.seed))
-	type check struct {
-		ref int
-		url string
-	}
-	var checks []check
-	for k := range b.gen.searches {
-		if b.results[k] == nil {
-			continue // never submitted to completion in the window
-		}
-		checks = append(checks, check{k, sys.url})
-		if rng.Intn(codesignRecomputeEvery) == 0 {
-			checks = append(checks, check{k, ref.url})
-		}
-	}
 	var mu sync.Mutex
-	mismatched := map[int]bool{} // a search's jobs count as failed once
 	var wg sync.WaitGroup
-	work := make(chan check)
+	work := make(chan int)
 	for w := 0; w < clients; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cs := map[string]*client{}
-			for ck := range work {
-				c := cs[ck.url]
-				if c == nil {
-					c = newClient(ck.url, nil)
-					defer c.close()
-					cs[ck.url] = c
-				}
-				want, err := c.post("/v1/codesign", b.gen.searches[ck.ref], http.StatusOK, "", 0)
-				jr := b.results[ck.ref]
+			c := newClient(ref.url, nil)
+			defer c.close()
+			for k := range work {
+				want, err := c.post("/v1/codesign", b.gen.searches[k], http.StatusOK, "", 0)
+				jr := b.results[k]
 				if err == nil && sha256.Sum256(bytes.TrimRight(want, "\n")) == jr.sum {
 					continue
 				}
 				mu.Lock()
-				for i := int64(0); !mismatched[ck.ref] && i < jr.jobs; i++ {
-					o.fail(fmt.Sprintf("search %d: job bytes differ from synchronous /v1/codesign at %s (err %v)", ck.ref, ck.url, err))
+				for i := int64(0); i < jr.jobs; i++ {
+					o.fail(fmt.Sprintf("search %d: job bytes differ from synchronous /v1/codesign (err %v)", k, err))
 				}
-				mismatched[ck.ref] = true
 				mu.Unlock()
 			}
 		}()
 	}
-	for _, ck := range checks {
-		work <- ck
+	for k := range b.gen.searches {
+		if b.results[k] != nil { // else never submitted to completion in the window
+			work <- k
+		}
 	}
 	close(work)
 	wg.Wait()
-	fmt.Printf("check: %d distinct searches against synchronous /v1/codesign, %d of them recomputed on a separate service\n",
-		len(b.results), len(checks)-len(b.results))
+	fmt.Printf("check: %d distinct searches against synchronous /v1/codesign on a separate service\n", len(b.results))
 	var bad []string
 	if d.storeHits == 0 {
 		bad = append(bad, "codesign-jobs recorded no durable-store hits")
@@ -412,7 +389,7 @@ func (b *fleetBench) send(c *client, r request) error {
 
 // settle checks that the window was served from the replicas' result
 // caches and that the gateway split every batch across both replicas.
-func (b *fleetBench) settle(_ *system, o *outcome, d counters) []string {
+func (b *fleetBench) settle(o *outcome, d counters) []string {
 	var bad []string
 	if hr := ratio(float64(d.svcHits), float64(d.svcHits+d.svcMisses)); hr < 0.99 {
 		bad = append(bad, fmt.Sprintf("fleet-hot result hit ratio %.4f below 0.99", hr))
