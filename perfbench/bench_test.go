@@ -120,6 +120,37 @@ func TestGeneratedRequestsAccepted(t *testing.T) {
 	}
 }
 
+// TestSampledDependsOnSeedOnly requires the output-check sample to be
+// the same for the same seed, to differ between seeds, and to keep
+// about one answer in every.
+func TestSampledDependsOnSeedOnly(t *testing.T) {
+	const n, every = 8000, 8
+	pick := func(seed int64) []bool {
+		v := make([]bool, n)
+		for k := range v {
+			v[k] = sampled(seed, k, every)
+		}
+		return v
+	}
+	a, again, b := pick(1), pick(1), pick(2)
+	same, kept := true, 0
+	for k, x := range a {
+		if x != again[k] {
+			t.Fatalf("seed 1 answer %d: sampled differs between calls", k)
+		}
+		same = same && x == b[k]
+		if x {
+			kept++
+		}
+	}
+	if same {
+		t.Error("seeds 1 and 2 sample the same answers")
+	}
+	if kept < n/every*8/10 || kept > n/every*12/10 {
+		t.Errorf("kept %d of %d answers, want about %d", kept, n, n/every)
+	}
+}
+
 func TestTailPicksHighestSupportedPercentile(t *testing.T) {
 	ramp := func(n int) []float64 {
 		v := make([]float64, n)

@@ -41,7 +41,7 @@ func run(args []string) int {
 	var trace int
 	fs.StringVar(&o.workload, "workload", "cold-analyze", "workload: cold-analyze, codesign-jobs or fleet-hot")
 	fs.Int64Var(&o.seed, "seed", 1, "workload seed")
-	fs.IntVar(&o.seconds, "seconds", 20, "length of the timed window in seconds")
+	fs.IntVar(&o.seconds, "seconds", 20, "seconds the run measures (a traced run splits them between its two windows)")
 	fs.IntVar(&trace, "trace", 0, "1 runs the traced per-layer breakdown instead of the end-to-end run")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -225,9 +225,10 @@ func (r *result) endToEnd(p *phase) {
 
 // runTraced is the per-layer run: an untraced window for the overhead
 // reference, then a traced window on a fresh deployment with the same
-// request sequence, then the kernel and codesign replays.
+// request sequence, then the kernel and codesign replays. The two
+// windows share the run's seconds, half each.
 func runTraced(b bench, o options) (*result, error) {
-	window := time.Duration(o.seconds) * time.Second
+	window := time.Duration(o.seconds) * time.Second / 2
 	plain, err := runPhase(b, nil, 1, 0, window)
 	if err != nil {
 		return nil, err
