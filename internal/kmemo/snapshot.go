@@ -28,8 +28,12 @@ import (
 // admission path (byte accounting, CLOCK eviction), so a snapshot can
 // never overfill a smaller cache.
 
-// snapMagic identifies a kmemo snapshot and versions its layout.
-const snapMagic = "kmemo-snap-1\n"
+// snapMagic identifies a kmemo snapshot and versions its layout. Bump
+// it whenever a registered codec's payload layout changes: codecs read
+// fields in order and need not consume the whole payload, so an old
+// payload can decode into wrong values instead of failing. Version 2
+// dropped the closed-loop covariance from encoded LQG designs.
+const snapMagic = "kmemo-snap-2\n"
 
 // Codec serializes one concrete value type for snapshots. Encode
 // reports false when the value is not its type (the registry tries

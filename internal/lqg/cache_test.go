@@ -174,3 +174,40 @@ func TestFingerprintContentSensitivity(t *testing.T) {
 		t.Fatal("fingerprint depends on the plant name")
 	}
 }
+
+// TestSynthesizeColdBitIdentity pins cold synthesis as deterministic to
+// the bit: every cache tier and snapshot relies on two runs over the same
+// (plant, period) agreeing exactly.
+func TestSynthesizeColdBitIdentity(t *testing.T) {
+	p := plant.InvertedPendulum()
+	d1, err := Synthesize(p, 0.008)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2, err := Synthesize(p, 0.008)
+	if err != nil {
+		t.Fatal(err)
+	}
+	designsEqual(t, d1, d2)
+}
+
+// TestZeroFingerprintBypassesCache pins the guard in DelayedCostCached:
+// designs built by hand carry no fingerprint, and caching them under the
+// zero key would make the second one read the first one's cost.
+func TestZeroFingerprintBypassesCache(t *testing.T) {
+	p := plant.DCServo()
+	for _, h := range []float64{0.006, 0.008} {
+		d, err := Synthesize(p, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Fingerprint() == (kmemo.Key{}) {
+			t.Fatal("synthesized design lost its fingerprint")
+		}
+		hand := *d
+		hand.fp = kmemo.Key{}
+		if got, want := DelayedCostCached(&hand, 0.001), DelayedCost(&hand, 0.001); got != want {
+			t.Fatalf("h=%v: cached delayed cost %v != direct %v for a hand-built design", h, got, want)
+		}
+	}
+}

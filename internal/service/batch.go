@@ -142,22 +142,15 @@ type batchOutcome struct {
 // was a cache hit. Cancellation aborts the fan-out: unstarted items are
 // never computed, and since only complete item results are ever cached,
 // an aborted batch leaves no partial state behind.
-func (s *Service) AnalyzeBatch(ctx context.Context, raw []byte, onItem BatchItemFunc) ([]byte, bool, error) {
-	s.requests.Add(1)
-	req, err := decodeStrict[BatchRequest](raw)
+func (s *Service) AnalyzeBatch(ctx context.Context, raw []byte, onItem BatchItemFunc) (b []byte, hit bool, err error) {
+	defer s.count(&err)
+	norm, batchKey, err := decodeRequest[BatchRequest](kindAnalyzeBatch, raw)
 	if err != nil {
-		s.errs.Add(1)
-		return nil, false, err
-	}
-	norm, err := req.normalize()
-	if err != nil {
-		s.errs.Add(1)
 		return nil, false, err
 	}
 	keys := make([]cacheKey, len(norm.Items))
 	for i, item := range norm.Items {
 		if keys[i], err = analyzeKey(item); err != nil {
-			s.errs.Add(1)
 			return nil, false, err
 		}
 	}
@@ -167,12 +160,6 @@ func (s *Service) AnalyzeBatch(ctx context.Context, raw []byte, onItem BatchItem
 	// the pool. The read-through is skipped when the caller wants
 	// per-item framing (the streaming path): stored bytes hold only the
 	// final envelope, not the item sequence.
-	canonical, err := canonicalBytes(norm)
-	if err != nil {
-		s.errs.Add(1)
-		return nil, false, err
-	}
-	batchKey := makeKey(kindAnalyzeBatch, canonical)
 	if onItem == nil {
 		if b, ok := s.store.Get(jobs.Key(batchKey)); ok {
 			s.hits.Add(1)
@@ -201,9 +188,7 @@ func (s *Service) AnalyzeBatch(ctx context.Context, raw []byte, onItem BatchItem
 			Workers: s.cfg.Workers,
 			Abort:   ctx.Done(),
 		}, func(i int) struct{} {
-			b, hit, err := s.serveItem(ctx, keys[i], func() (experiments.Result, error) {
-				return s.runAnalyze(norm.Items[i])
-			})
+			b, hit, err := s.analyzeItem(ctx, keys[i], norm.Items[i])
 			outcomes[i] = batchOutcome{b: b, hit: hit, err: err}
 			close(ready[i])
 			return struct{}{}
@@ -220,7 +205,6 @@ func (s *Service) AnalyzeBatch(ctx context.Context, raw []byte, onItem BatchItem
 		case <-ready[i]:
 		case <-ctx.Done():
 			<-mapDone // workers observe the abort; no goroutine leaks
-			s.errs.Add(1)
 			return nil, false, &Error{Status: http.StatusServiceUnavailable, Msg: "canceled during batch: " + ctx.Err().Error()}
 		}
 		out := outcomes[i]
@@ -248,11 +232,9 @@ func (s *Service) AnalyzeBatch(ctx context.Context, raw []byte, onItem BatchItem
 		}
 	}
 	if mapErr := <-mapDone; mapErr != nil {
-		s.errs.Add(1)
 		return nil, false, &Error{Status: http.StatusServiceUnavailable, Msg: "canceled during batch: " + mapErr.Error()}
 	}
 	if err := ctx.Err(); err != nil {
-		s.errs.Add(1)
 		return nil, false, &Error{Status: http.StatusServiceUnavailable, Msg: "canceled during batch: " + err.Error()}
 	}
 
@@ -262,10 +244,9 @@ func (s *Service) AnalyzeBatch(ctx context.Context, raw []byte, onItem BatchItem
 	}
 	var buf bytes.Buffer
 	if err := experiments.EncodeJSON(&buf, res); err != nil {
-		s.errs.Add(1)
 		return nil, false, err
 	}
-	b := buf.Bytes()
+	b = buf.Bytes()
 	_ = s.store.Put(jobs.Key(batchKey), kindAnalyzeBatch, b)
 	return b, allHit, nil
 }

@@ -7,12 +7,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -451,40 +451,38 @@ func TestCodesignEngineInputErrorIs400(t *testing.T) {
 	}
 }
 
-// TestCodesignWarmStartHammer mixes concurrent cold, refined, and
-// warm-started codesign requests on one service under the race detector:
-// the warm path's workspace pools and the sweep-curve memo must be
-// race-free, warm responses must be deterministic, and warm selection
-// must match cold selection.
+// TestCodesignWarmStartHammer races cold and refined codesign requests,
+// each also spelled with the ignored "warm_start": true, on one service
+// under the race detector. Every warm spelling must return its cold
+// reference's bytes, whether it computes first or coalesces, and once
+// the cold request has run the warm one is a cache hit (X-Cache: hit):
+// the field never reaches the cache key.
 func TestCodesignWarmStartHammer(t *testing.T) {
 	s := New(Config{Workers: 2, MaxConcurrent: 4, CacheEntries: 32})
 	small := strings.Replace(codesignBody, `"horizon": 0.5`, `"horizon": 0.05`, 1)
-	warm := strings.Replace(small, `"seed": 42`, `"seed": 42, "warm_start": true`, 1)
 	refined := strings.Replace(small, `"seed": 42`, `"seed": 42, "refine": 1`, 1)
-	warmRefined := strings.Replace(small, `"seed": 42`, `"seed": 42, "refine": 1, "warm_start": true`, 1)
-
-	coldRef, _ := mustCodesign(t, New(Config{Workers: 2}), small)
-	warmRef, _ := mustCodesign(t, New(Config{Workers: 2}), warm)
-
-	var sel struct {
-		Periods    []float64 `json:"periods"`
-		Priorities []int     `json:"priorities"`
-	}
-	var selWarm struct {
-		Periods    []float64 `json:"periods"`
-		Priorities []int     `json:"priorities"`
-	}
-	if err := json.Unmarshal(coldRef, &sel); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(warmRef, &selWarm); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sel, selWarm) {
-		t.Fatalf("warm start changed the selection: cold %+v, warm %+v", sel, selWarm)
+	withWarm := func(body string) string {
+		return strings.Replace(body, `"seed": 42`, `"seed": 42, "warm_start": true`, 1)
 	}
 
-	bodies := []string{small, warm, refined, warmRefined}
+	type spelling struct {
+		body string
+		ref  []byte
+	}
+	var spellings []spelling
+	for _, cold := range []string{small, refined} {
+		ref, _ := mustCodesign(t, New(Config{Workers: 2}), cold)
+		warm := withWarm(cold)
+		if warm == cold {
+			t.Fatal("warm_start was not spliced into the body")
+		}
+		// On a fresh service the warm spelling computes on its own.
+		if b, _ := mustCodesign(t, New(Config{Workers: 2}), warm); !bytes.Equal(b, ref) {
+			t.Fatal("warm_start changed the response bytes")
+		}
+		spellings = append(spellings, spelling{cold, ref}, spelling{warm, ref})
+	}
+
 	var wg sync.WaitGroup
 	errs := make(chan error, 32)
 	for g := 0; g < 8; g++ {
@@ -492,18 +490,14 @@ func TestCodesignWarmStartHammer(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for rep := 0; rep < 2; rep++ {
-				body := bodies[(g+rep)%len(bodies)]
-				b, _, err := s.Codesign(context.Background(), []byte(body), nil)
+				sp := spellings[(g+rep)%len(spellings)]
+				b, _, err := s.Codesign(context.Background(), []byte(sp.body), nil)
 				if err != nil {
 					errs <- err
 					return
 				}
-				if body == warm && !bytes.Equal(b, warmRef) {
-					errs <- fmt.Errorf("goroutine %d: warm codesign bytes diverged", g)
-					return
-				}
-				if body == small && !bytes.Equal(b, coldRef) {
-					errs <- fmt.Errorf("goroutine %d: cold codesign bytes diverged", g)
+				if !bytes.Equal(b, sp.ref) {
+					errs <- fmt.Errorf("goroutine %d: codesign bytes diverged for %s", g, sp.body)
 					return
 				}
 			}
@@ -513,6 +507,26 @@ func TestCodesignWarmStartHammer(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	for _, sp := range spellings {
+		resp, err := http.Post(srv.URL+"/v1/codesign", "application/json", strings.NewReader(sp.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "hit" {
+			t.Fatalf("status %d, X-Cache %q after the cold request ran", resp.StatusCode, resp.Header.Get("X-Cache"))
+		}
+		if !bytes.Equal(b, sp.ref) {
+			t.Fatalf("HTTP bytes differ from the cold reference for %s", sp.body)
+		}
 	}
 }
 

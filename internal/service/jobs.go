@@ -45,15 +45,23 @@ func JobKinds() []string {
 // SubmitJob validates, canonicalizes, and submits one async job. The
 // heavy work happens on the engine's goroutine through the service's
 // normal pool admission; validation failures surface here, so a
-// submitted job is always a well-formed computation.
+// submitted job is always a well-formed computation. A job that runs is
+// counted as a request when it runs; a submission that is refused, or
+// that the durable store answers at once, is counted here.
 func (s *Service) SubmitJob(kind string, raw []byte) (*jobs.Job, error) {
 	key, runner, err := s.prepareJob(kind, raw)
 	if err != nil {
+		s.count(&err)
 		return nil, err
 	}
 	j, err := s.jobsEng.Submit(kind, jobs.Key(key), raw, runner)
 	if err != nil {
-		return nil, &Error{Status: http.StatusServiceUnavailable, Msg: err.Error()}
+		err = &Error{Status: http.StatusServiceUnavailable, Msg: err.Error()}
+		s.count(&err)
+		return nil, err
+	}
+	if j.Status().FromStore {
+		s.requests.Add(1)
 	}
 	return j, nil
 }
@@ -66,49 +74,23 @@ func (s *Service) Job(id string) (*jobs.Job, bool) { return s.jobsEng.Get(id) }
 func (s *Service) CancelJob(id string) (*jobs.Job, bool) { return s.jobsEng.Cancel(id) }
 
 // prepareJob maps one (kind, request) pair to its canonical store key
-// and the runner that computes it. Admission-time validation runs
-// here; the runner only ever sees a normalized request.
+// and the runner that computes it. Admission-time validation runs here;
+// the runner answers the request through the same entry point as the
+// synchronous surface, so a job's bytes, caching and counting are the
+// synchronous call's.
 func (s *Service) prepareJob(kind string, raw []byte) (cacheKey, jobs.Runner, error) {
+	var key cacheKey
+	var err error
+	var call func(ctx context.Context, emit func(jobs.Event)) ([]byte, bool, error)
 	switch kind {
 	case kindAnalyze:
-		req, err := decodeStrict[AnalyzeRequest](raw)
-		if err != nil {
-			return cacheKey{}, nil, err
+		_, key, err = decodeRequest[AnalyzeRequest](kind, raw)
+		call = func(ctx context.Context, _ func(jobs.Event)) ([]byte, bool, error) {
+			return s.Analyze(ctx, raw)
 		}
-		norm, err := req.normalize()
-		if err != nil {
-			return cacheKey{}, nil, err
-		}
-		key, err := analyzeKey(norm)
-		if err != nil {
-			return cacheKey{}, nil, err
-		}
-		runner := func(ctx context.Context, emit func(jobs.Event)) ([]byte, bool, *jobs.ErrorInfo) {
-			b, hit, err := s.serveItem(ctx, key, func() (experiments.Result, error) {
-				return s.runAnalyze(norm)
-			})
-			if err != nil {
-				return nil, false, errorInfo(err)
-			}
-			return b, hit, nil
-		}
-		return key, runner, nil
-
 	case kindAnalyzeBatch:
-		req, err := decodeStrict[BatchRequest](raw)
-		if err != nil {
-			return cacheKey{}, nil, err
-		}
-		norm, err := req.normalize()
-		if err != nil {
-			return cacheKey{}, nil, err
-		}
-		canonical, err := canonicalBytes(norm)
-		if err != nil {
-			return cacheKey{}, nil, err
-		}
-		key := makeKey(kindAnalyzeBatch, canonical)
-		runner := func(ctx context.Context, emit func(jobs.Event)) ([]byte, bool, *jobs.ErrorInfo) {
+		_, key, err = decodeRequest[BatchRequest](kind, raw)
+		call = func(ctx context.Context, emit func(jobs.Event)) ([]byte, bool, error) {
 			count := 0
 			onItem := func(index int, data []byte, hit bool, err error) {
 				count++
@@ -119,60 +101,42 @@ func (s *Service) prepareJob(kind string, raw []byte) (cacheKey, jobs.Runner, er
 				emit(jobs.ItemEvent(index, json.RawMessage(bytes.TrimRight(data, "\n")), hit))
 			}
 			b, hit, err := s.AnalyzeBatch(ctx, raw, onItem)
-			if err != nil {
-				return nil, false, errorInfo(err)
+			if err == nil {
+				emit(jobs.BatchDoneEvent(count))
 			}
-			emit(jobs.BatchDoneEvent(count))
-			return b, hit, nil
+			return b, hit, err
 		}
-		return key, runner, nil
-
 	case kindCodesign:
-		req, err := decodeStrict[CodesignRequest](raw)
-		if err != nil {
-			return cacheKey{}, nil, err
-		}
-		norm, err := req.normalize()
-		if err != nil {
-			return cacheKey{}, nil, err
-		}
-		canonical, err := canonicalBytes(norm)
-		if err != nil {
-			return cacheKey{}, nil, err
-		}
-		key := makeKey(kindCodesign, canonical)
-		runner := func(ctx context.Context, emit func(jobs.Event)) ([]byte, bool, *jobs.ErrorInfo) {
+		_, key, err = decodeRequest[CodesignRequest](kind, raw)
+		call = func(ctx context.Context, emit func(jobs.Event)) ([]byte, bool, error) {
 			// Codesign progress is per candidate evaluation, unthrottled,
 			// matching the synchronous stream.
-			b, hit, err := s.Codesign(ctx, raw, progressEmitter(emit, false))
-			if err != nil {
-				return nil, false, errorInfo(err)
-			}
-			return b, hit, nil
+			return s.Codesign(ctx, raw, progressEmitter(emit, false))
 		}
-		return key, runner, nil
-
 	default:
 		spec, ok := experimentKinds[kind]
 		if !ok {
 			return cacheKey{}, nil, badRequest("unknown job kind %q (have: %s)", kind, strings.Join(JobKinds(), " "))
 		}
-		canonical, run, err := spec.prepare(s, raw)
-		if err != nil {
-			return cacheKey{}, nil, err
-		}
-		key := makeKey(kind, canonical)
-		runner := func(ctx context.Context, emit func(jobs.Event)) ([]byte, bool, *jobs.ErrorInfo) {
+		var canonical []byte
+		canonical, _, err = spec.prepare(s, raw)
+		key = makeKey(kind, canonical)
+		call = func(ctx context.Context, emit func(jobs.Event)) ([]byte, bool, error) {
 			// Experiment campaigns deliver far more progress events than a
 			// client can use; ~1% granularity, like the synchronous stream.
-			b, hit, err := s.serve(ctx, kind, key, progressEmitter(emit, true), run)
-			if err != nil {
-				return nil, false, errorInfo(err)
-			}
-			return b, hit, nil
+			return s.Experiment(ctx, kind, raw, progressEmitter(emit, true))
 		}
-		return key, runner, nil
 	}
+	if err != nil {
+		return cacheKey{}, nil, err
+	}
+	return key, func(ctx context.Context, emit func(jobs.Event)) ([]byte, bool, *jobs.ErrorInfo) {
+		b, hit, err := call(ctx, emit)
+		if err != nil {
+			return nil, false, errorInfo(err)
+		}
+		return b, hit, nil
+	}, nil
 }
 
 // progressEmitter adapts a job's event sink to a campaign ProgressFunc,
@@ -210,12 +174,12 @@ func (s *Service) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req, err := decodeStrict[SubmitRequest](body)
-	if err != nil {
-		writeError(w, err)
-		return
+	if err == nil && req.Kind == "" {
+		err = badRequest("missing job kind (have: %s)", strings.Join(JobKinds(), " "))
 	}
-	if req.Kind == "" {
-		writeError(w, badRequest("missing job kind (have: %s)", strings.Join(JobKinds(), " ")))
+	if err != nil {
+		s.count(&err)
+		writeError(w, err)
 		return
 	}
 	j, err := s.SubmitJob(req.Kind, req.Request)

@@ -6,7 +6,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
+
+	"ctrlsched/internal/jobs"
 )
 
 // TestHealthzSchema is the regression gate on the health endpoint's
@@ -123,5 +126,94 @@ func TestAnalyzeHitPathAllocs(t *testing.T) {
 	})
 	if allocs > 48 {
 		t.Fatalf("analyze hit path allocates %.0f objects/op (bound 48)", allocs)
+	}
+}
+
+// TestRequestCountingPerRoute pins the service counters' contract over
+// every route, with good and bad bodies: each call is exactly one
+// request, a failing call exactly one error, and a job counts once when
+// it runs, whatever its kind. Errors can therefore never outnumber
+// requests.
+func TestRequestCountingPerRoute(t *testing.T) {
+	s := New(Config{Workers: 2, MaxConcurrent: 2, CacheEntries: 64})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	codesign := strings.Replace(codesignBody, `"horizon": 0.5`, `"horizon": 0.05`, 1)
+	job := func(kind, request string) string {
+		return `{"kind":"` + kind + `","request":` + request + `}`
+	}
+	cases := []struct {
+		name, path, body string
+		fail             bool
+	}{
+		{"experiment", "/v1/experiments/table1", smallTable1, false},
+		{"experiment-stream", "/v1/experiments/table1?stream=1", `{"benchmarks":40,"sizes":[4],"seed":3,"gen":{"grid_points":4}}`, false},
+		{"experiment-unknown-kind", "/v1/experiments/no-such-kind", `{}`, true},
+		{"experiment-bad-config", "/v1/experiments/table1", `{"benchmarks":"many"}`, true},
+		{"analyze", "/v1/analyze", `{"plant":"dc-servo","period":0.0063}`, false},
+		{"analyze-bad-json", "/v1/analyze", `{"plant":`, true},
+		{"analyze-bad-plant", "/v1/analyze", `{"plant":"no-such-plant","period":0.006}`, true},
+		{"batch", "/v1/analyze/batch", string(batchBody(3)), false},
+		{"batch-stream", "/v1/analyze/batch?stream=1", string(batchBody(4)), false},
+		{"batch-empty", "/v1/analyze/batch", `{"items":[]}`, true},
+		// Item failures travel in-band in a 200 response: the batch
+		// request succeeded, so no error is booked for it.
+		{"batch-item-errors", "/v1/analyze/batch", `{"items":[
+			{"tasks":[{"bcet":0.01,"wcet":0.02,"period":2,"plant":"inverted-pendulum"}]},
+			{"tasks":[{"bcet":0.01,"wcet":0.02,"period":3,"plant":"inverted-pendulum"}]}]}`, false},
+		{"codesign", "/v1/codesign", codesign, false},
+		{"codesign-stream", "/v1/codesign?stream=1", strings.Replace(codesign, `"seed": 42`, `"seed": 43`, 1), false},
+		{"codesign-no-loops", "/v1/codesign", `{"loops":[]}`, true},
+		{"job-analyze", "/v1/jobs", job("analyze", `{"plant":"dc-servo","period":0.0064}`), false},
+		{"job-batch", "/v1/jobs", job("analyze_batch", string(batchBody(5))), false},
+		{"job-codesign", "/v1/jobs", job("codesign", strings.Replace(codesign, `"seed": 42`, `"seed": 44`, 1)), false},
+		{"job-experiment", "/v1/jobs", job("table1", `{"benchmarks":30,"sizes":[4],"seed":5,"gen":{"grid_points":4}}`), false},
+		{"job-bad-request", "/v1/jobs", job("analyze", `{"plant":"no-such-plant"}`), true},
+		{"job-unknown-kind", "/v1/jobs", job("no-such-kind", `{}`), true},
+		{"job-missing-kind", "/v1/jobs", `{"request":{}}`, true},
+		{"job-bad-json", "/v1/jobs", `{"kind":`, true},
+	}
+	for _, tc := range cases {
+		before := s.Stats()
+		resp, err := http.Post(srv.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		failed := resp.StatusCode >= 400
+		if resp.StatusCode == http.StatusAccepted {
+			var st jobs.Status
+			if err := json.Unmarshal(raw, &st); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			j, ok := s.Job(st.ID)
+			if !ok {
+				t.Fatalf("%s: job %s not tracked", tc.name, st.ID)
+			}
+			waitJob(t, j)
+			failed = j.Status().State != jobs.StateDone
+		}
+		if failed != tc.fail {
+			t.Fatalf("%s: status %d, failed=%v, want failed=%v\n%s", tc.name, resp.StatusCode, failed, tc.fail, raw)
+		}
+		after := s.Stats()
+		if got := after.Requests - before.Requests; got != 1 {
+			t.Errorf("%s: requests rose by %d, want 1", tc.name, got)
+		}
+		wantErrs := int64(0)
+		if tc.fail {
+			wantErrs = 1
+		}
+		if got := after.Errors - before.Errors; got != wantErrs {
+			t.Errorf("%s: errors rose by %d, want %d", tc.name, got, wantErrs)
+		}
+		if after.Errors > after.Requests {
+			t.Errorf("%s: errors %d exceed requests %d", tc.name, after.Errors, after.Requests)
+		}
 	}
 }

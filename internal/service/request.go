@@ -44,6 +44,26 @@ func decodeStrict[T any](raw []byte) (T, error) {
 	return v, nil
 }
 
+// decodeRequest is the decode → normalize → canonicalize sequence every
+// analyze, batch and codesign body goes through, on the synchronous and
+// the jobs surface alike. It returns the normalized request and its
+// cache key.
+func decodeRequest[T interface{ normalize() (T, error) }](kind string, raw []byte) (T, cacheKey, error) {
+	req, err := decodeStrict[T](raw)
+	if err != nil {
+		return req, cacheKey{}, err
+	}
+	norm, err := req.normalize()
+	if err != nil {
+		return norm, cacheKey{}, err
+	}
+	canonical, err := canonicalBytes(norm)
+	if err != nil {
+		return norm, cacheKey{}, err
+	}
+	return norm, makeKey(kind, canonical), nil
+}
+
 // canonicalBytes is the deterministic encoding request identity is
 // hashed from: compact JSON of the normalized value.
 func canonicalBytes(v any) ([]byte, error) {

@@ -3,13 +3,21 @@ package service
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"ctrlsched/internal/jobs"
+	"ctrlsched/internal/kmemo"
+	"ctrlsched/internal/lqg"
 )
 
 // These tests pin the restart-durability contract: a job the previous
@@ -208,5 +216,121 @@ func TestRestartHealthzReportsJournal(t *testing.T) {
 	}
 	if !doc.Journal.Enabled || doc.Journal.Recovered != 1 {
 		t.Fatalf("healthz journal = %+v, want enabled with recovered_intents=1", doc.Journal)
+	}
+}
+
+// v1KernelSnapshot rewrites a kernel-cache snapshot into the previous
+// kmemo-snap-1 layout, in which every encoded LQG design ended with its
+// 2n×2n closed-loop covariance. Synthesis entries gain the matrix at
+// their end; margin entries gain it between the design and the margin
+// curve, exactly where the old encoder put it.
+func v1KernelSnapshot(t *testing.T, snap []byte) []byte {
+	t.Helper()
+	const magicLen = len("kmemo-snap-2\n")
+	if len(snap) < magicLen+sha256.Size || !bytes.HasPrefix(snap, []byte("kmemo-snap-")) {
+		t.Fatal("not a kernel-cache snapshot")
+	}
+	p := snap[magicLen : len(snap)-sha256.Size]
+	out := []byte("kmemo-snap-1\n")
+	for len(p) > 0 {
+		nameLen := int(binary.LittleEndian.Uint32(p))
+		head := p[:4+nameLen+kmemo.KeySize+8]
+		name := string(p[4 : 4+nameLen])
+		p = p[len(head):]
+		payloadLen := int(binary.LittleEndian.Uint32(p))
+		payload := p[4 : 4+payloadLen]
+		p = p[4+payloadLen:]
+
+		if (name == "lqg/synth" || name == "jitter/margin") && binary.LittleEndian.Uint64(payload) == 1 {
+			d, err := lqg.ReadDesignSnap(kmemo.NewSnapDec(payload[8:]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var design kmemo.SnapEnc
+			lqg.AppendDesignSnap(&design, d)
+			end := 8 + len(design.Buf)
+			n := 2 * d.Phi.Rows()
+			var sigma kmemo.SnapEnc
+			sigma.I64(int64(n))
+			sigma.I64(int64(n))
+			for i := 0; i < n*n; i++ {
+				sigma.F64(float64(i%(n+1)) + 0.5)
+			}
+			payload = append(append(append([]byte(nil), payload[:end]...), sigma.Buf...), payload[end:]...)
+		}
+		out = append(out, head...)
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
+		out = append(out, payload...)
+	}
+	sum := sha256.Sum256(out)
+	return append(out, sum[:]...)
+}
+
+// TestRestartRefusesV1KernelSnapshot pins the snapshot layout bump that
+// came with dropping the covariance from encoded designs. A v1 margin
+// payload decoded with the v2 reader would read the covariance's bytes
+// as the margin curve, so a v1 snapshot must restore nothing: the
+// daemon starts with a cold kernel cache, /healthz reports restored 0,
+// and requests still compute the reference bytes.
+func TestRestartRefusesV1KernelSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Workers: 2, JobsDir: dir}
+	s1 := New(cfg)
+	want, _ := mustCodesign(t, s1, codesignBody)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s1.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "kmemo.snap")
+	snap, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, v1KernelSnapshot(t, snap), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// A fresh process-wide kernel cache, as after a real restart.
+	kmemo.Disable()
+	kmemo.Configure(kmemo.DefaultEntries, kmemo.DefaultBytes)
+
+	s2 := New(cfg)
+	if st := kmemo.Default().Stats(); st.Restored != 0 || st.Entries != 0 {
+		t.Fatalf("v1 snapshot restored %d entries (%d resident); want a cold start", st.Restored, st.Entries)
+	}
+	srv := httptest.NewServer(s2.Handler())
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h struct {
+		KernelCache struct {
+			Restored *int64 `json:"restored"`
+		} `json:"kernel_cache"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&h)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.KernelCache.Restored == nil || *h.KernelCache.Restored != 0 {
+		t.Fatalf("/healthz kernel_cache.restored = %v, want 0", h.KernelCache.Restored)
+	}
+
+	// The durable result store is unaffected; a fresh search (not in the
+	// store) recomputes cold and matches a service that never restarted.
+	other := strings.Replace(codesignBody, `"seed": 42`, `"seed": 7`, 1)
+	got, hit, err := s2.Codesign(context.Background(), []byte(other), nil)
+	if err != nil || hit {
+		t.Fatalf("cold codesign after restart: hit=%v err=%v", hit, err)
+	}
+	ref, _ := mustCodesign(t, newTestService(), other)
+	if !bytes.Equal(got, ref) {
+		t.Fatal("codesign after a refused snapshot differs from the reference")
+	}
+	if b, hit, err := s2.Codesign(context.Background(), []byte(codesignBody), nil); err != nil || !hit || !bytes.Equal(b, want) {
+		t.Fatalf("stored result after restart: hit=%v err=%v", hit, err)
 	}
 }

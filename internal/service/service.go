@@ -281,7 +281,11 @@ func classifyError(op string, err error) *Error {
 	}
 }
 
-// Stats is a snapshot of the service counters.
+// Stats is a snapshot of the service counters. Requests counts each
+// synchronous call and each job run once (a job submission that is
+// refused, or that the durable store answers at once, counts as one
+// too); Errors counts those that failed, so it never exceeds Requests.
+// A batch whose items fail in-band still succeeds.
 type Stats struct {
 	Requests     int64 `json:"requests"`
 	CacheHits    int64 `json:"cache_hits"`
@@ -533,18 +537,17 @@ func (s *Service) generator(spec experiments.GenSpec) *taskgen.Generator {
 // whether they came from the cache, and an error carrying an HTTP
 // status on failure. progress, when non-nil, receives per-request
 // campaign progress (cache hits never call it).
-func (s *Service) Experiment(ctx context.Context, kind string, rawCfg []byte, progress experiments.ProgressFunc) ([]byte, bool, error) {
+func (s *Service) Experiment(ctx context.Context, kind string, rawCfg []byte, progress experiments.ProgressFunc) (b []byte, hit bool, err error) {
+	defer s.count(&err)
 	spec, ok := experimentKinds[kind]
 	if !ok {
-		s.errs.Add(1)
 		return nil, false, &Error{Status: http.StatusNotFound, Msg: fmt.Sprintf("unknown experiment kind %q", kind)}
 	}
 	canonical, run, err := spec.prepare(s, rawCfg)
 	if err != nil {
-		s.errs.Add(1)
 		return nil, false, err
 	}
-	return s.serve(ctx, kind, makeKey(kind, canonical), progress, run)
+	return s.servePooled(ctx, kind, makeKey(kind, canonical), progress, run)
 }
 
 // Analyze answers one single-task-set analysis request (see
@@ -557,26 +560,23 @@ func (s *Service) Experiment(ctx context.Context, kind string, rawCfg []byte, pr
 // flat under pool pressure and — deliberately — means a single analyze
 // and a /v1/analyze/batch item with the same canonical request share one
 // cache key and one flight.
-func (s *Service) Analyze(ctx context.Context, raw []byte) ([]byte, bool, error) {
+func (s *Service) Analyze(ctx context.Context, raw []byte) (b []byte, hit bool, err error) {
+	defer s.count(&err)
+	norm, key, err := decodeRequest[AnalyzeRequest](kindAnalyze, raw)
+	if err != nil {
+		return nil, false, err
+	}
+	return s.analyzeItem(ctx, key, norm)
+}
+
+// count books one finished call in the service counters: every sync
+// call and every job run is one request, and one that fails is one
+// error. Callers defer it on their named error result.
+func (s *Service) count(err *error) {
 	s.requests.Add(1)
-	req, err := decodeStrict[AnalyzeRequest](raw)
-	if err != nil {
+	if *err != nil {
 		s.errs.Add(1)
-		return nil, false, err
 	}
-	norm, err := req.normalize()
-	if err != nil {
-		s.errs.Add(1)
-		return nil, false, err
-	}
-	key, err := analyzeKey(norm)
-	if err != nil {
-		s.errs.Add(1)
-		return nil, false, err
-	}
-	return s.serveItem(ctx, key, func() (experiments.Result, error) {
-		return s.runAnalyze(norm)
-	})
 }
 
 // analyzeKey derives the cache key of one normalized analyze item; the
@@ -589,32 +589,32 @@ func analyzeKey(norm AnalyzeRequest) (cacheKey, error) {
 	return makeKey(kindAnalyze, canonical), nil
 }
 
-// serve is the shared request path: cache lookup, durable-store
-// read-through, coalescing with any identical in-flight request,
-// bounded-pool admission, execution, canonical encoding, cache fill.
-func (s *Service) serve(ctx context.Context, kind string, key cacheKey, progress experiments.ProgressFunc, run runFunc) ([]byte, bool, error) {
-	s.requests.Add(1)
+// leadFunc is a flight leader's work: it produces the request's bytes,
+// reporting whether they came from a cache tier, and fans progress out
+// to the leader and every joiner through the ProgressFunc it is given.
+type leadFunc func(progress experiments.ProgressFunc) ([]byte, bool, error)
+
+// serve is the one request path every kind shares: result-cache lookup,
+// then either joining an identical in-flight request or leading it with
+// lead. Everything that differs between kinds — pool admission, the
+// durable store — lives in lead, so the loop never branches on its
+// caller. Errors are never cached, and a joiner whose leader failed
+// starts over as an independent request (the failure may have been the
+// leader's own client canceling).
+func (s *Service) serve(ctx context.Context, key cacheKey, progress experiments.ProgressFunc, lead leadFunc) ([]byte, bool, error) {
 	for {
 		if b, ok := s.cache.get(key); ok {
-			s.hits.Add(1)
-			return b, true, nil
-		}
-		// Durable-store read-through: a restarted daemon serves prior
-		// results byte-identical without recompute. Verified reads only;
-		// a damaged file quarantines and the request recomputes.
-		if b, ok := s.store.Get(jobs.Key(key)); ok {
-			s.cache.put(key, b)
 			s.hits.Add(1)
 			return b, true, nil
 		}
 		s.flightMu.Lock()
 		if f, ok := s.flights[key]; ok {
 			// An identical request is already computing; wait for its
-			// bytes instead of burning a second pool slot on them. The
-			// joiner's progress keeps flowing from the leader's campaign
-			// until the subscriber is stopped — on every exit from this
-			// wait, or the leader would keep invoking a callback whose
-			// request is over (a use-after-return on the streaming path).
+			// bytes instead of computing them twice. The joiner's
+			// progress keeps flowing from the leader until the
+			// subscriber is stopped — on every exit from this wait, or
+			// the leader would keep invoking a callback whose request is
+			// over (a use-after-return on the streaming path).
 			sub := f.subscribe(progress)
 			s.flightMu.Unlock()
 			select {
@@ -624,12 +624,9 @@ func (s *Service) serve(ctx context.Context, kind string, key cacheKey, progress
 					s.hits.Add(1)
 					return f.b, true, nil
 				}
-				// The leader failed — possibly just its own client's
-				// cancellation. Start over as an independent request.
 				continue
 			case <-ctx.Done():
 				sub.stop()
-				s.errs.Add(1)
 				return nil, false, &Error{Status: http.StatusServiceUnavailable, Msg: "canceled while coalesced: " + ctx.Err().Error()}
 			}
 		}
@@ -638,7 +635,7 @@ func (s *Service) serve(ctx context.Context, kind string, key cacheKey, progress
 		s.flights[key] = f
 		s.flightMu.Unlock()
 
-		b, hit, err := s.execute(ctx, kind, key, f.notify, run)
+		b, hit, err := lead(f.notify)
 		f.b, f.err = b, err
 		s.flightMu.Lock()
 		delete(s.flights, key)
@@ -648,66 +645,82 @@ func (s *Service) serve(ctx context.Context, kind string, key cacheKey, progress
 	}
 }
 
-// serveItem is the request path of one analyze item (a single
-// /v1/analyze request, or one slot of a /v1/analyze/batch fan-out):
-// cache lookup, coalescing with any identical in-flight item, direct
-// execution, canonical encoding, cache fill. Unlike serve it performs no
-// pool admission — items are cheap relative to experiment campaigns, and
-// a batch already holds one pool slot for all of its items. Errors are
-// never cached; an aborted batch therefore leaves only complete item
-// results behind.
-func (s *Service) serveItem(ctx context.Context, key cacheKey, run func() (experiments.Result, error)) ([]byte, bool, error) {
-	for {
+// analyzeItem serves one normalized analyze item (a single /v1/analyze
+// request, or one slot of a /v1/analyze/batch fan-out). Its leader takes
+// no pool slot — items are cheap next to experiment campaigns, and a
+// batch already holds one slot for all of its items — and never touches
+// the durable store, so an aborted batch leaves only complete item
+// results behind, in the result cache alone.
+func (s *Service) analyzeItem(ctx context.Context, key cacheKey, norm AnalyzeRequest) ([]byte, bool, error) {
+	return s.serve(ctx, key, nil, func(experiments.ProgressFunc) ([]byte, bool, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, false, &Error{Status: http.StatusServiceUnavailable, Msg: "canceled before execution: " + err.Error()}
+		}
+		s.misses.Add(1)
+		res, err := s.runAnalyze(norm)
+		if err != nil {
+			return nil, false, classifyError(kindAnalyze, err)
+		}
+		b, err := s.fill(key, res)
+		return b, false, err
+	})
+}
+
+// servePooled serves one pool-scheduled request (an experiment campaign
+// or a codesign search). Its leader reads through the durable store —
+// a restarted daemon serves prior results byte-identical without
+// recompute; a damaged file quarantines and the request recomputes —
+// then takes a pool slot, runs, and fills both the result cache and the
+// store.
+func (s *Service) servePooled(ctx context.Context, kind string, key cacheKey, progress experiments.ProgressFunc, run runFunc) ([]byte, bool, error) {
+	return s.serve(ctx, key, progress, func(notify experiments.ProgressFunc) ([]byte, bool, error) {
+		if b, ok := s.store.Get(jobs.Key(key)); ok {
+			s.cache.put(key, b)
+			s.hits.Add(1)
+			return b, true, nil
+		}
+		release, err := s.admitPool(ctx)
+		if err != nil {
+			return nil, false, err
+		}
+		defer release()
+		s.active.Add(1)
+		defer s.active.Add(-1)
+
+		// Double-check after the queue wait: a previous leader may have
+		// filled the cache between this request's lookup and its flight
+		// registration.
 		if b, ok := s.cache.get(key); ok {
 			s.hits.Add(1)
 			return b, true, nil
 		}
-		s.flightMu.Lock()
-		if f, ok := s.flights[key]; ok {
-			s.flightMu.Unlock()
-			select {
-			case <-f.done:
-				if f.err == nil {
-					s.hits.Add(1)
-					return f.b, true, nil
-				}
-				// The leader failed; retry as an independent item (its
-				// failure may have been its own client's cancellation).
-				continue
-			case <-ctx.Done():
-				s.errs.Add(1)
-				return nil, false, &Error{Status: http.StatusServiceUnavailable, Msg: "canceled while coalesced: " + ctx.Err().Error()}
-			}
-		}
-		f := &flight{done: make(chan struct{})}
-		s.flights[key] = f
-		s.flightMu.Unlock()
+		s.misses.Add(1)
 
-		b, err := s.executeItem(ctx, key, run)
-		f.b, f.err = b, err
-		s.flightMu.Lock()
-		delete(s.flights, key)
-		s.flightMu.Unlock()
-		close(f.done)
-		return b, false, err
-	}
+		// The request context doubles as the campaign abort signal: when
+		// the client disconnects mid-run, workers stop instead of
+		// burning the pool slot to completion. An aborted run yields a
+		// partial result, which must never be encoded or cached.
+		res, err := run(notify, ctx.Done())
+		if err != nil {
+			return nil, false, classifyError(kind, err)
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, false, &Error{Status: http.StatusServiceUnavailable, Msg: "canceled during execution: " + err.Error()}
+		}
+		b, err := s.fill(key, res)
+		if err != nil {
+			return nil, false, err
+		}
+		_ = s.store.Put(jobs.Key(key), kind, b)
+		return b, false, nil
+	})
 }
 
-// executeItem runs one item as its flight leader.
-func (s *Service) executeItem(ctx context.Context, key cacheKey, run func() (experiments.Result, error)) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		s.errs.Add(1)
-		return nil, &Error{Status: http.StatusServiceUnavailable, Msg: "canceled before execution: " + err.Error()}
-	}
-	s.misses.Add(1)
-	res, err := run()
-	if err != nil {
-		s.errs.Add(1)
-		return nil, classifyError(kindAnalyze, err)
-	}
+// fill encodes a leader's result canonically and puts it in the result
+// cache.
+func (s *Service) fill(key cacheKey, res experiments.Result) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := experiments.EncodeJSON(&buf, res); err != nil {
-		s.errs.Add(1)
 		return nil, err
 	}
 	b := buf.Bytes()
@@ -724,7 +737,6 @@ func (s *Service) admitPool(ctx context.Context) (release func(), err error) {
 	if err == nil {
 		return release, nil
 	}
-	s.errs.Add(1)
 	var sat *admit.SaturatedError
 	if errors.As(err, &sat) {
 		code := "saturated"
@@ -734,48 +746,4 @@ func (s *Service) admitPool(ctx context.Context) (release func(), err error) {
 		return nil, &Error{Status: http.StatusTooManyRequests, Code: code, Msg: sat.Error(), retryAfter: sat.RetryAfter}
 	}
 	return nil, &Error{Status: http.StatusServiceUnavailable, Msg: "canceled while queued: " + err.Error()}
-}
-
-// execute runs one request as the flight leader: pool admission, the
-// campaign itself, canonical encoding, cache and durable-store fill.
-func (s *Service) execute(ctx context.Context, kind string, key cacheKey, progress experiments.ProgressFunc, run runFunc) ([]byte, bool, error) {
-	release, err := s.admitPool(ctx)
-	if err != nil {
-		return nil, false, err
-	}
-	defer release()
-	s.active.Add(1)
-	defer s.active.Add(-1)
-
-	// Double-check after the queue wait: a previous leader may have
-	// filled the cache between this request's lookup and its flight
-	// registration.
-	if b, ok := s.cache.get(key); ok {
-		s.hits.Add(1)
-		return b, true, nil
-	}
-	s.misses.Add(1)
-
-	// The request context doubles as the campaign abort signal: when the
-	// client disconnects mid-run, workers stop instead of burning the
-	// pool slot to completion. An aborted run yields a partial result,
-	// which must never be encoded or cached.
-	res, err := run(progress, ctx.Done())
-	if err != nil {
-		s.errs.Add(1)
-		return nil, false, classifyError(kind, err)
-	}
-	if err := ctx.Err(); err != nil {
-		s.errs.Add(1)
-		return nil, false, &Error{Status: http.StatusServiceUnavailable, Msg: "canceled during execution: " + err.Error()}
-	}
-	var buf bytes.Buffer
-	if err := experiments.EncodeJSON(&buf, res); err != nil {
-		s.errs.Add(1)
-		return nil, false, err
-	}
-	b := buf.Bytes()
-	s.cache.put(key, b)
-	_ = s.store.Put(jobs.Key(key), kind, b)
-	return b, false, nil
 }
